@@ -13,6 +13,7 @@ import itertools
 import os
 import random
 import resource
+import statistics
 import sys
 from pathlib import Path
 from typing import Dict, Iterator, List, Sequence, Tuple
@@ -55,6 +56,10 @@ def peak_rss_mb() -> float:
 APPS = 64
 #: TCP connections of the load generator: at most one per core.
 CONNECTIONS = max(1, min(2, os.cpu_count() or 1))
+#: Seconds after ready excluded from the measured window: TCP servers
+#: (load generator connecting, first batches) and the fleet process.
+TCP_WARMUP_S = 2.0
+FLEET_WARMUP_S = 1.0
 #: Requests sampled for the in-process reference comparison.
 REFERENCE_SAMPLE = 48
 #: Work fingerprints the grid server's store holds at start; three in
@@ -218,19 +223,9 @@ def job_stream(seed: int):
 # ----------------------------------------------------------------------
 # statistics
 # ----------------------------------------------------------------------
-def percentile(values: Sequence[float], q: float) -> float:
-    """Linear-interpolation percentile (``q`` in [0, 100])."""
-    ordered = sorted(values)
-    if not ordered:
-        raise ValueError("percentile of an empty sample")
-    position = (len(ordered) - 1) * q / 100.0
-    low = int(position)
-    high = min(low + 1, len(ordered) - 1)
-    return ordered[low] + (ordered[high] - ordered[low]) * (position - low)
-
-
-def median(values: Sequence[float]) -> float:
-    return percentile(values, 50.0)
+def p90(values: Sequence[float]) -> float:
+    """90th percentile, interpolated linearly between order statistics."""
+    return statistics.quantiles(values, n=10, method="inclusive")[8]
 
 
 def rate(completions: Sequence[float]) -> float:

@@ -12,7 +12,8 @@ Every operation is checked as it completes (outside its timed span), and
 after the measured window the final window is planned at every level of
 the cap cycle.  Prints one JSON line.
 
-Run: ``PYTHONPATH=src python3 perfbench/fleet.py --seed 1 --seconds 10``.
+Run: ``PYTHONPATH=src python3 perfbench/fleet.py --seed 1 --seconds 10 --trace 0
+--spans-out .perfbench_work/spans.json``.
 """
 
 from __future__ import annotations
@@ -21,17 +22,19 @@ import argparse
 import itertools
 import json
 import math
+import statistics
 import time
 from pathlib import Path
 
 from common import (
     CAP_CYCLE,
+    FLEET_WARMUP_S,
     FLEET_TURNOVER,
     FLEET_WINDOW,
     ensure_program,
     job_stream,
     peak_rss_mb,
-    percentile,
+    p90,
     rate,
 )
 
@@ -82,10 +85,9 @@ def check_operation(window, uncapped, cap, capped) -> bool:
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, required=True)
-    parser.add_argument("--warmup", type=float, default=1.0)
-    parser.add_argument("--seconds", type=float, default=10.0)
-    parser.add_argument("--trace", type=int, default=0)
-    parser.add_argument("--spans-out", type=Path, default=None)
+    parser.add_argument("--seconds", type=float, required=True)
+    parser.add_argument("--trace", type=int, required=True)
+    parser.add_argument("--spans-out", type=Path, required=True)
     parser.add_argument("--setup-only", action="store_true")
     args = parser.parse_args()
 
@@ -114,7 +116,7 @@ def main() -> None:
         return
 
     begin = clock()
-    measured = (begin + args.warmup, begin + args.warmup + args.seconds)
+    measured = (begin + FLEET_WARMUP_S, begin + FLEET_WARMUP_S + args.seconds)
     attempted = failed = 0
     timed = []
     for level in itertools.cycle(CAP_CYCLE):
@@ -140,16 +142,15 @@ def main() -> None:
         "attempted": attempted,
         "failed": failed,
         "ops_per_s": rate([end for _, end in timed]),
-        "latency_p50_ms": percentile(latencies, 50),
-        "latency_p90_ms": percentile(latencies, 90),
+        "latency_p50_ms": statistics.median(latencies),
+        "latency_p90_ms": p90(latencies),
         "peak_rss_mb": peak_rss_mb(),
     }
     if spans is not None:
         from tracing import fleet_layers
 
         result["layers"] = fleet_layers(spans, measured)
-        if args.spans_out is not None:
-            spans.write(args.spans_out)
+        spans.write(args.spans_out)
     print(json.dumps(result), flush=True)
 
 

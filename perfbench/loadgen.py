@@ -7,7 +7,7 @@ Answers are matched to requests by the echoed ``(client_id, phase)``,
 not by arrival order; an error answer, which echoes neither, is charged
 to the connection's oldest outstanding request.
 
-The first ``--warmup`` seconds are excluded; the measured window is the
+The first ``TCP_WARMUP_S`` seconds are excluded; the measured window is the
 next ``--seconds`` seconds, and a request belongs to it when its answer
 arrives inside it.  After the window every answered request is checked
 (see ``check_predict`` / ``check_grid``); a wrong answer counts as a
@@ -23,17 +23,19 @@ import argparse
 import asyncio
 import json
 import random
+import statistics
 import time
 
 from common import (
     APPS,
     CONNECTIONS,
     REFERENCE_SAMPLE,
+    TCP_WARMUP_S,
     ensure_program,
     grid_probe_stream,
     hot_works,
     nas_phase_samples,
-    percentile,
+    p90,
     phase_sample_stream,
     rate,
     train_bundle,
@@ -48,7 +50,7 @@ from repro.service import GridProbeRequest, PhaseSampleRequest, PredictionHandle
 clock = time.monotonic
 
 
-async def drive(port: int, streams, warmup: float, seconds: float):
+async def drive(port: int, streams, seconds: float):
     """Run the closed loop; returns (records, window).
 
     A record is ``(t_send, t_answer, request_payload, answer)``; ``answer``
@@ -83,7 +85,7 @@ async def drive(port: int, streams, warmup: float, seconds: float):
         outstanding.clear()
 
     begin = clock()
-    window = (begin + warmup, begin + warmup + seconds)
+    window = (begin + TCP_WARMUP_S, begin + TCP_WARMUP_S + seconds)
 
     async def application(app: int) -> None:
         index = app % len(connections)
@@ -209,7 +211,6 @@ def main() -> None:
     parser.add_argument("--workload", choices=("predict-tcp", "grid-tcp"), required=True)
     parser.add_argument("--port", type=int, required=True)
     parser.add_argument("--seed", type=int, required=True)
-    parser.add_argument("--warmup", type=float, default=2.0)
     parser.add_argument("--seconds", type=float, required=True)
     args = parser.parse_args()
 
@@ -221,8 +222,8 @@ def main() -> None:
         streams = [grid_probe_stream(args.seed, app, hot) for app in range(APPS)]
     records, window = asyncio.run(
         asyncio.wait_for(
-            drive(args.port, streams, args.warmup, args.seconds),
-            timeout=args.warmup + args.seconds + 60.0,
+            drive(args.port, streams, args.seconds),
+            timeout=TCP_WARMUP_S + args.seconds + 60.0,
         )
     )
 
@@ -247,8 +248,8 @@ def main() -> None:
                 "failed": failed,
                 "window": list(window),
                 "ops_per_s": rate([t_answer for _, t_answer in measured]),
-                "latency_p50_ms": percentile(latencies, 50),
-                "latency_p90_ms": percentile(latencies, 90),
+                "latency_p50_ms": statistics.median(latencies),
+                "latency_p90_ms": p90(latencies),
                 "new_works": list(new_works.values()),
             }
         ),

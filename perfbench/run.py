@@ -11,9 +11,9 @@ Workloads (see ``BENCHMARK.json`` and ``perfbench/README.md``):
   store-backed grid server;
 * ``fleet-replan`` — rolling re-planning of a power-capped fleet.
 
-Each program process is launched ``SETUP_LAUNCHES`` times; ``setup_s`` is
-the median time from launch to ready, and the last launch serves the
-measured run.  With ``--trace 0`` the last output line carries the
+Each program process is launched ``SETUP_LAUNCHES[workload]`` times;
+``setup_s`` is the median time from launch to ready, and the last launch
+serves the measured run.  With ``--trace 0`` the last output line carries the
 end-to-end metrics; with ``--trace 1`` the program is handed traced
 objects and the line carries the per-layer metrics instead (the traced
 run's own end-to-end figures are printed on the line before, so the
@@ -26,6 +26,7 @@ import argparse
 import json
 import os
 import shutil
+import statistics
 import subprocess
 import sys
 import threading
@@ -39,11 +40,13 @@ from common import (
     build_store,
     child_env,
     ensure_program,
-    median,
 )
 
 HERE = Path(__file__).resolve().parent
-SETUP_LAUNCHES = 3
+#: Launches per run, whose median launch-to-ready time is ``setup_s``.
+#: The half-second set-ups (interpreter start, imports, store seed or
+#: first plan) vary more per launch than the seconds of bundle training.
+SETUP_LAUNCHES = {"predict-tcp": 3, "grid-tcp": 7, "fleet-replan": 7}
 #: Bound on any one wait for a child process.
 CHILD_TIMEOUT = 150.0
 
@@ -108,7 +111,8 @@ def store_holds(directory: Path, works) -> bool:
 
 
 def launch_served(args, script: str, arguments, before_launch=lambda: None) -> tuple:
-    """Launch a program process ``SETUP_LAUNCHES`` times (once when traced).
+    """Launch a program process ``SETUP_LAUNCHES[workload]`` times (once when
+    traced).
 
     The last launch stays up and serves the measured run.  Returns its
     process, its ready line and ``setup_s``, the median launch-to-ready time.
@@ -117,7 +121,7 @@ def launch_served(args, script: str, arguments, before_launch=lambda: None) -> t
         "--trace", args.trace,
         "--spans-out", WORK / f"spans-{args.workload}-seed{args.seed}.json",
     ]
-    launches = 1 if args.trace else SETUP_LAUNCHES
+    launches = 1 if args.trace else SETUP_LAUNCHES[args.workload]
     setups = []
     for index in range(launches):
         before_launch()
@@ -126,7 +130,7 @@ def launch_served(args, script: str, arguments, before_launch=lambda: None) -> t
         setups.append(setup)
         if not served:
             finish(process)
-    return process, line, median(setups)
+    return process, line, statistics.median(setups)
 
 
 def summary(measured: dict, setup_s: float, peak_rss_mb: float, correct: bool) -> dict:

@@ -16,7 +16,8 @@ prints one JSON line: peak memory and, when traced, the per-layer
 figures over that window, completed from the server's ``metrics()``
 snapshot.
 
-Run: ``PYTHONPATH=src python3 perfbench/server.py --workload predict-tcp``.
+Run: ``PYTHONPATH=src python3 perfbench/server.py --workload predict-tcp
+--store .perfbench_work/store --trace 0 --spans-out .perfbench_work/spans.json``.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import sys
 import time
 from pathlib import Path
 
-from common import WORK, ensure_program, peak_rss_mb, train_bundle
+from common import ensure_program, peak_rss_mb, train_bundle
 
 ensure_program()
 
@@ -84,9 +85,9 @@ async def serve(server, setup_only: bool):
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", choices=("predict-tcp", "grid-tcp"), required=True)
-    parser.add_argument("--store", type=Path, default=WORK / "store")
-    parser.add_argument("--trace", type=int, default=0)
-    parser.add_argument("--spans-out", type=Path, default=None)
+    parser.add_argument("--store", type=Path, required=True)
+    parser.add_argument("--trace", type=int, required=True)
+    parser.add_argument("--spans-out", type=Path, required=True)
     parser.add_argument("--setup-only", action="store_true")
     args = parser.parse_args()
 
@@ -108,8 +109,7 @@ def main() -> None:
 
         layers.update(server_layers(spans, window, server.metrics()))
         result["layers"] = layers
-        if args.spans_out is not None:
-            spans.write(args.spans_out)
+        spans.write(args.spans_out)
     print(json.dumps(result), flush=True)
 
 

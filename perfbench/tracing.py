@@ -14,11 +14,10 @@ End-to-end figures always come from an untraced run.
 from __future__ import annotations
 
 import json
+import statistics
 import time
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
-
-from common import median
 
 from repro.cluster import Node
 from repro.core import ConfigurationSelector, PredictorBundle
@@ -210,7 +209,7 @@ def machine_layers(spans: Spans, window: Sequence[float]) -> Dict[str, float]:
     iterations = sum(s[4]["iterations"] for s in grids)
     busy = sum(s[2] - s[1] for s in grids)
     return {
-        "machine.grid_ms": median([_ms(s) for s in grids]) if grids else 0.0,
+        "machine.grid_ms": statistics.median([_ms(s) for s in grids]) if grids else 0.0,
         "machine.cold_cells": float(cold),
         "machine.cold_cell_us": busy / cold * 1e6 if cold else 0.0,
         "machine.memo_hit_ratio": hits / (hits + cold) if hits + cold else 0.0,
@@ -243,16 +242,16 @@ def server_layers(spans: Spans, window: Sequence[float], snapshot: Dict) -> Dict
     lookups = sum(s[4]["hits"] + s[4]["misses"] for s in predicts)
     ranks = spans.named("selector.rank", window)
     layers = {
-        "server.submit_p50_ms": median([_ms(s) for s in submits]),
+        "server.submit_p50_ms": statistics.median([_ms(s) for s in submits]),
         "batcher.batch_size": sum(len(s[4]["rids"]) for s in batches) / len(batches),
-        "batcher.wait_ms": median(waits),
-        "handler.batch_ms": median([_ms(s) for s in batches]),
+        "batcher.wait_ms": statistics.median(waits),
+        "handler.batch_ms": statistics.median([_ms(s) for s in batches]),
         "handler.busy_share": busy / length,
-        "predictor.batch_ms": median([_ms(s) for s in predicts]) if predicts else 0.0,
+        "predictor.batch_ms": statistics.median([_ms(s) for s in predicts]) if predicts else 0.0,
         "predictor.cache_hit_ratio": (
             sum(s[4]["hits"] for s in predicts) / lookups if lookups else 0.0
         ),
-        "selector.rank_us": median([_ms(s) * 1e3 for s in ranks]) if ranks else 0.0,
+        "selector.rank_us": statistics.median([_ms(s) * 1e3 for s in ranks]) if ranks else 0.0,
     }
     layers.update(machine_layers(spans, window))
     store = snapshot["caches"].get("memo_store")
@@ -262,7 +261,9 @@ def server_layers(spans: Spans, window: Sequence[float], snapshot: Dict) -> Dict
         layers.update(
             {
                 "store.seed_s": sum(s[2] - s[1] for s in seeds),
-                "store.append_ms": median([_ms(s) for s in appends]) if appends else 0.0,
+                "store.append_ms": (
+                    statistics.median([_ms(s) for s in appends]) if appends else 0.0
+                ),
                 "store.appends": float(len(appends)),
                 "store.compactions": float(store["compactions_triggered"]),
                 "store.files_end": float(store["segment_files"]),
